@@ -35,6 +35,27 @@ import (
 	"risc1/internal/serve"
 )
 
+// Connection deadlines. A client gets readHeaderTimeout to send its request
+// headers, so a slow-drip (slowloris) client cannot pin a connection and its
+// goroutine forever, and an idle keep-alive connection is closed after
+// idleTimeout. There is deliberately no WriteTimeout: /v1/run/stream keeps a
+// response open for as long as the run lasts, and runs are already bounded
+// by the per-run deadline ceiling (-timeout).
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the riscd handler in an http.Server with the
+// connection deadlines above.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	addr := flag.String("addr", ":8049", "listen address")
 	workers := flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
@@ -69,7 +90,7 @@ func main() {
 	}
 	log.Printf("riscd: listening on %s", ln.Addr())
 
-	srv := &http.Server{Handler: s}
+	srv := newHTTPServer(s)
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 

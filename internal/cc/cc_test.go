@@ -1,6 +1,7 @@
 package cc_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -392,6 +393,20 @@ func TestCompileErrors(t *testing.T) {
 	for what, src := range cases {
 		if _, err := cc.Compile(src, cc.Options{Target: cc.RISCWindowed}); err == nil {
 			t.Errorf("%s: compiled without error", what)
+		}
+	}
+}
+
+// TestTruncatedBodyIsCompileError checks that a function body cut off by
+// end of input is a typed compile error on every backend, not a panic.
+func TestTruncatedBodyIsCompileError(t *testing.T) {
+	for _, src := range []string{"int A(){", "int A(){ {", "int main() { if (1) {"} {
+		for _, target := range append(allTargets, cc.RISCPipelined) {
+			_, err := cc.Compile(src, cc.Options{Target: target})
+			var ce *cc.CompileError
+			if !errors.As(err, &ce) {
+				t.Errorf("%q on %v: got %v, want a *cc.CompileError", src, target, err)
+			}
 		}
 	}
 }

@@ -31,9 +31,18 @@ type parser struct {
 	loopDepth int
 }
 
-func (p *parser) cur() token  { return p.toks[p.pos] }
-func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
-func (p *parser) line() int   { return p.cur().line }
+func (p *parser) cur() token { return p.toks[p.pos] }
+func (p *parser) line() int  { return p.cur().line }
+
+// next consumes the current token. It never steps past the closing EOF
+// token, so a truncated program cannot run the cursor off the token slice.
+func (p *parser) next() token {
+	t := p.toks[p.pos]
+	if t.kind != tokEOF {
+		p.pos++
+	}
+	return t
+}
 
 func (p *parser) errf(format string, args ...any) error {
 	return &CompileError{Line: p.line(), Msg: fmt.Sprintf(format, args...)}

@@ -414,6 +414,9 @@ func (c *concurrency) lockDataflow() {
 			mustOut, mayOut = applyLock(op, mustOut, mayOut)
 		}
 		for _, e := range p.edges(node) {
+			if e.To < 0 || e.To >= n {
+				continue // runs off the image: the sequential passes report it
+			}
 			if e.Callee && c.rtSkip[e.To/2] {
 				continue // runtime body: modeled on the return edge
 			}

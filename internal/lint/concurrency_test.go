@@ -167,6 +167,26 @@ main:
 	}
 }
 
+// TestSMPPassesOnTruncatedImage lints a return whose delay slot lies past
+// the end of the image, so the CFG has an edge outside the node range. The
+// SMP passes must skip that edge and leave the report to the sequential
+// passes, which flag the transfer in the last code word.
+func TestSMPPassesOnTruncatedImage(t *testing.T) {
+	img, err := asm.Assemble("ret r0,0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var slot bool
+	for _, d := range Check(img, Options{SMP: true}) {
+		if d.Pass == "delay-slot" {
+			slot = true
+		}
+	}
+	if !slot {
+		t.Error("no delay-slot finding for a return in the last code word")
+	}
+}
+
 // TestSMPCleanParallelSkeleton pins the negative side at this layer: a
 // properly locked worker pair produces no concurrency findings.
 func TestSMPCleanParallelSkeleton(t *testing.T) {

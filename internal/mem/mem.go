@@ -5,8 +5,10 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Console is the memory-mapped output device. A 32-bit store to ConsolePutc
@@ -141,7 +143,12 @@ func (m *Memory) injectFault(kind AccessKind, addr uint32, size int) error {
 // All multi-byte accesses must be naturally aligned, per the RISC I rule
 // that alignment keeps the memory interface single-cycle.
 type Memory struct {
-	ram          []byte
+	ram []byte
+	// dirty holds one bit per pageSize page of ram, set by every write
+	// (Store8/16/32 and LoadProgram), so Release can zero just the pages a
+	// run touched instead of the whole RAM.
+	dirty []uint64
+
 	console      strings.Builder
 	consoleLimit int  // bytes the console retains before dropping output
 	consoleTrunc bool // some console output was dropped at the limit
@@ -172,9 +179,59 @@ type Memory struct {
 	smp   SMPController
 }
 
-// New returns a memory with size bytes of RAM starting at address 0.
+// pageShift sets the dirty-tracking granule: 4 KiB pages.
+const (
+	pageShift = 12
+	pageSize  = 1 << pageShift
+)
+
+// pools holds released memories, one *sync.Pool per RAM size.
+var pools sync.Map
+
+func pool(size int) *sync.Pool {
+	if p, ok := pools.Load(size); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := pools.LoadOrStore(size, new(sync.Pool))
+	return p.(*sync.Pool)
+}
+
+// New returns a memory with size bytes of zeroed RAM starting at address
+// 0. It reuses a released memory of the same size when one is available
+// (see Release) and allocates one otherwise; the two are indistinguishable.
 func New(size int) *Memory {
-	return &Memory{ram: make([]byte, size), consoleLimit: DefaultConsoleLimit}
+	if m, ok := pool(size).Get().(*Memory); ok {
+		return m
+	}
+	pages := (size + pageSize - 1) >> pageShift
+	return &Memory{
+		ram:          make([]byte, size),
+		dirty:        make([]uint64, (pages+63)/64),
+		consoleLimit: DefaultConsoleLimit,
+	}
+}
+
+// Release returns m to New's pool. It zeroes only the pages written since m
+// was created and resets every other piece of state — console, limit and
+// sink, traffic counters, write watch, fault plan, observer, lock page and
+// SMP controller — to what New returns. The caller must own m outright and
+// must not touch it, or any machine built on it, afterwards.
+func (m *Memory) Release() {
+	for w, word := range m.dirty {
+		for word != 0 {
+			lo := (w<<6 + bits.TrailingZeros64(word)) << pageShift
+			clear(m.ram[lo:min(lo+pageSize, len(m.ram))])
+			word &= word - 1
+		}
+		m.dirty[w] = 0
+	}
+	*m = Memory{ram: m.ram, dirty: m.dirty, consoleLimit: DefaultConsoleLimit}
+	pool(len(m.ram)).Put(m)
+}
+
+// markDirty records a write to the in-range address addr.
+func (m *Memory) markDirty(addr uint32) {
+	m.dirty[addr>>(pageShift+6)] |= 1 << (addr >> pageShift & 63)
 }
 
 // Size returns the RAM size in bytes.
@@ -371,6 +428,7 @@ func (m *Memory) Store8(addr uint32, v uint8) error {
 	}
 	m.Writes++
 	m.ram[addr] = v
+	m.markDirty(addr)
 	m.notifyWrite(addr, 1)
 	if m.obs != nil {
 		m.obs.ObserveStore(addr, 1)
@@ -392,6 +450,7 @@ func (m *Memory) Store16(addr uint32, v uint16) error {
 	m.Writes += 2
 	m.ram[addr] = uint8(v >> 8)
 	m.ram[addr+1] = uint8(v)
+	m.markDirty(addr)
 	m.notifyWrite(addr, 2)
 	if m.obs != nil {
 		m.obs.ObserveStore(addr, 2)
@@ -418,6 +477,7 @@ func (m *Memory) Store32(addr uint32, v uint32) error {
 	m.ram[addr+1] = uint8(v >> 16)
 	m.ram[addr+2] = uint8(v >> 8)
 	m.ram[addr+3] = uint8(v)
+	m.markDirty(addr)
 	m.notifyWrite(addr, 4)
 	if m.obs != nil {
 		m.obs.ObserveStore(addr, 4)
@@ -444,6 +504,11 @@ func (m *Memory) LoadProgram(addr uint32, data []byte) error {
 		return &Fault{Kind: AccessStore, Addr: addr, Size: len(data), OutOfMem: true}
 	}
 	copy(m.ram[addr:], data)
+	if len(data) > 0 {
+		for pg := addr >> pageShift; pg <= (addr+uint32(len(data))-1)>>pageShift; pg++ {
+			m.markDirty(pg << pageShift)
+		}
+	}
 	m.notifyWrite(addr, len(data))
 	return nil
 }

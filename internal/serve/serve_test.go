@@ -177,6 +177,24 @@ func TestRunCompileError(t *testing.T) {
 	}
 }
 
+// TestRunTruncatedCmIsTyped pins the answer to a Cm program cut off inside
+// a function body: a typed 400, counted like any other request, rather than
+// a parser panic that drops the connection.
+func TestRunTruncatedCmIsTyped(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, raw := postJSON(t, ts.URL+"/v1/run", RunRequest{Source: "int A(){"})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400\n%s", resp.StatusCode, raw)
+	}
+	if d := decodeError(t, raw); d.Code != "compile_error" {
+		t.Errorf("code = %q, want compile_error (%s)", d.Code, raw)
+	}
+	_, metrics := getBody(t, ts.URL+"/metrics")
+	if !strings.Contains(string(metrics), `riscd_requests_total{endpoint="/v1/run",status="400"} 1`) {
+		t.Errorf("truncated-source request not counted:\n%s", metrics)
+	}
+}
+
 // TestRunBadRequests covers malformed JSON, empty source and bad enums.
 func TestRunBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
@@ -1091,5 +1109,24 @@ func TestLintSMPTarget(t *testing.T) {
 	}
 	if out.Warnings != 0 || out.Errors != 0 {
 		t.Fatalf("lock-disciplined program linted dirty under target smp: %s", raw)
+	}
+}
+
+// TestLintSMPTruncatedImage pins the answer to an image whose last word is
+// a return with no delay slot: under target smp the concurrency passes
+// must lint it, not panic the handler.
+func TestLintSMPTruncatedImage(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, raw := postJSON(t, ts.URL+"/v1/lint",
+		LintRequest{Source: "ret r0,0", Lang: "asm", Target: "smp"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, want 200\n%s", resp.StatusCode, raw)
+	}
+	var out LintResponse
+	if err := json.Unmarshal(raw, &out); err != nil {
+		t.Fatal(err)
+	}
+	if out.Errors+out.Warnings == 0 {
+		t.Errorf("return in the last code word linted clean: %s", raw)
 	}
 }
