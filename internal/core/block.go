@@ -84,6 +84,11 @@ type block struct {
 	cyclesButLast uint64
 	counts        []opCount
 	costs         []instCost
+
+	// id is the block's identity for the Retire hook; insts are the
+	// decoded instructions it covers, a view of the predecode cache.
+	id    uint32
+	insts []isa.Inst
 }
 
 // noBlock is the cached "this word cannot start a block" answer, so
@@ -165,9 +170,12 @@ func (c *CPU) compileBlock(start int) *block {
 	if n == 0 {
 		return noBlock
 	}
+	c.lastBlockID++
 	b := &block{
 		startPC: c.codeOrg + uint32(4*start),
 		nInst:   n,
+		id:      c.lastBlockID,
+		insts:   c.predec[start : start+n : start+n],
 		term:    span.Term,
 		termIdx: span.Body,
 	}
@@ -275,6 +283,7 @@ func (c *CPU) runBlock(w uint32, b *block, budget int) (int, error) {
 		for i := range b.ops {
 			op := &b.ops[i]
 			if err := op.fn(c); err != nil {
+				c.retireInPlace(b, int(op.fidx), false)
 				return consumed, c.blockFault(b, int(op.fidx), err)
 			}
 			if op.store && c.blocks[w] != b {
@@ -286,6 +295,7 @@ func (c *CPU) runBlock(w uint32, b *block, budget int) (int, error) {
 				c.lastPC = b.blockPC(int(op.fidx))
 				c.pc = b.blockPC(next)
 				c.npc = c.pc + 4
+				c.retireInPlace(b, next, false)
 				return consumed, nil
 			}
 		}
@@ -296,6 +306,7 @@ func (c *CPU) runBlock(w uint32, b *block, budget int) (int, error) {
 			c.lastPC = end - 4
 			c.pc = end
 			c.npc = end + 4
+			c.retireInPlace(b, b.nInst, false)
 			return consumed, nil
 		}
 
@@ -323,12 +334,14 @@ func (c *CPU) runBlock(w uint32, b *block, budget int) (int, error) {
 				c.stat.DelaySlotUseful++
 				if err := b.slotFn(c); err != nil {
 					c.pc = slotPC
+					c.retireInPlace(b, b.termIdx+1, taken)
 					return consumed, c.runError(slotPC, err)
 				}
 			}
 			c.lastPC = slotPC
 			c.pc = c.npc
 			c.npc = c.pc + 4
+			c.retireInPlace(b, b.nInst, taken)
 			// Loop-resident execution: the taken branch lands back on this
 			// block's leader and the machine is exactly at block entry, so
 			// iterate here under the same gates nextBlock would apply.
@@ -340,6 +353,7 @@ func (c *CPU) runBlock(w uint32, b *block, budget int) (int, error) {
 			}
 			return consumed, nil
 		}
+		base, ovf, unf := c.Regs.CurBase(), c.stat.WindowOverflow, c.stat.WindowUnderflow
 		target, transferred, err := c.control(&b.termInst, termPC)
 		if err != nil {
 			// The transfer faulted in the window machinery; it stays
@@ -350,6 +364,7 @@ func (c *CPU) runBlock(w uint32, b *block, budget int) (int, error) {
 			}
 			c.pc = termPC
 			c.npc = termPC + 4
+			c.retireInPlace(b, b.termIdx, false)
 			return consumed, c.runError(termPC, err)
 		}
 		c.lastPC = termPC
@@ -368,12 +383,14 @@ func (c *CPU) runBlock(w uint32, b *block, budget int) (int, error) {
 			// RET to HaltAddr halts during the transfer itself; the slot
 			// never executes.
 			c.unwindBlock(b, b.termIdx+1)
+			c.retireBlock(b, b.termIdx+1, base, transferred, ovf, unf)
 			return consumed, nil
 		}
 		// The transfer may have accrued dynamic spill/fill cycles; re-check
 		// the budget exactly where Step would, at the slot boundary.
 		if c.stat.Cycles-uint64(b.costs[b.termIdx+1].cycles) >= c.cfg.MaxCycles {
 			c.unwindBlock(b, b.termIdx+1)
+			c.retireBlock(b, b.termIdx+1, base, transferred, ovf, unf)
 			return consumed, c.runError(c.pc, ErrMaxCycles)
 		}
 		c.inDelay = false
@@ -384,12 +401,14 @@ func (c *CPU) runBlock(w uint32, b *block, budget int) (int, error) {
 		}
 		if b.slotFn != nil {
 			if err := b.slotFn(c); err != nil {
+				c.retireBlock(b, b.termIdx+1, base, transferred, ovf, unf)
 				return consumed, c.runError(slotPC, err)
 			}
 		}
 		c.lastPC = slotPC
 		c.pc = c.npc
 		c.npc = c.pc + 4
+		c.retireBlock(b, b.nInst, base, transferred, ovf, unf)
 		return consumed, nil
 	}
 }

@@ -195,6 +195,10 @@ type sharedCode struct {
 	traces     []*trace
 	liveTraces []*trace
 	traceGen   uint64
+
+	// lastBlockID numbers compiled blocks (Block.id), so a Retire hook can
+	// tell a recompiled block from the one it replaced.
+	lastBlockID uint32
 }
 
 // CPU is one RISC I processor with its memory.
@@ -226,8 +230,18 @@ type CPU struct {
 	traceStat TraceStats
 
 	// Trace, when non-nil, is called after every executed instruction
-	// with its address and decoded form (before the PC advances).
+	// with its address and decoded form (before the PC advances). It is a
+	// debugging hook: installing it forces the step oracle.
 	Trace func(pc uint32, inst isa.Inst)
+
+	// Retire, when non-nil, observes retirement in bulk for a timing
+	// model: one call per compiled block the block engine runs, one per
+	// single-stepped instruction otherwise (see Retired). Unlike Trace it
+	// keeps the block engine; it only turns off the trace tier, whose
+	// superblocks retire across taken branches without block boundaries.
+	Retire   func(r *Retired)
+	retired  Retired
+	stepInst [1]isa.Inst
 
 	// Progress, when non-nil, is called at RunContext batch boundaries —
 	// at most once per runBatch instructions — with the instruction and
@@ -435,10 +449,11 @@ func (c *CPU) RunContext(ctx context.Context) error {
 
 // engineTiers resolves the configured engine to the tiers a run may use.
 // The compiled engines are exact only without a per-instruction trace
-// callback; the auto engine falls back to stepping there.
+// callback; the auto engine falls back to stepping there. A Retire hook
+// observes block by block, so it keeps blocks but not superblocks.
 func (c *CPU) engineTiers() (useBlocks, useTraces bool) {
 	useBlocks = c.cfg.Engine != EngineStep && c.Trace == nil
-	useTraces = useBlocks && c.cfg.Engine != EngineBlock
+	useTraces = useBlocks && c.cfg.Engine != EngineBlock && c.Retire == nil
 	return
 }
 
@@ -488,6 +503,14 @@ func (c *CPU) runSlice(budget int, useBlocks, useTraces bool) (int, error) {
 			}
 			budget -= n
 			continue
+		}
+		if c.Retire != nil && executed > 0 {
+			if b, _ := c.nextBlock(runBatch); b != nil {
+				// A block is waiting but the batch remainder cannot fit it.
+				// A Retire hook prices whole blocks, so rather than
+				// single-step the remainder, restart on a fresh batch.
+				break
+			}
 		}
 		if err := c.Step(); err != nil {
 			return executed, err
@@ -561,12 +584,20 @@ func (c *CPU) Step() error {
 		c.inDelay = false
 	}
 
+	var base int
+	var ovf, unf uint64
+	if c.Retire != nil {
+		base, ovf, unf = c.Regs.CurBase(), c.stat.WindowOverflow, c.stat.WindowUnderflow
+	}
 	target, transferred, err := c.execute(inst, execPC)
 	if err != nil {
 		return c.runError(execPC, err)
 	}
 	if c.Trace != nil {
 		c.Trace(execPC, *inst)
+	}
+	if c.Retire != nil {
+		c.retireStep(execPC, inst, base, transferred, ovf, unf)
 	}
 
 	c.lastPC = execPC

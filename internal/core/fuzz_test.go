@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"risc1/internal/asm"
+	"risc1/internal/enginefuzz"
 )
 
 // TestRandomWordsNeverPanic feeds the CPU programs of random 32-bit words.
@@ -119,71 +120,24 @@ func FuzzExec(f *testing.F) {
 // PC state at three mid-run checkpoints and at the end, Stats(), console
 // output, and fault identity — must match exactly. The checkpoints come
 // from truncating MaxCycles, which exercises the batched-accounting split
-// at arbitrary block and trace offsets. Seeds deliberately include
-// trace-hostile programs: a loop whose branch flips direction after
-// warming up (forcing a superblock side exit), a loop that stores over
-// its own compiled body (forcing trace invalidation mid-flight), and a
-// hot loop that faults after the trace is compiled.
+// at arbitrary block and trace offsets. The seeds and the input mapping
+// come from package enginefuzz, shared with the pipeline's differential
+// fuzzer; they deliberately include trace-hostile programs: a loop whose
+// branch flips direction after warming up (forcing a superblock side
+// exit), a loop that stores over its own compiled body (forcing trace
+// invalidation mid-flight), and a hot loop that faults after the trace is
+// compiled.
 func FuzzEngineEquivalence(f *testing.F) {
-	f.Add(asm.MustAssemble(loopSrc).Bytes, uint32(30000))
-	f.Add(asm.MustAssemble(sumProgram(12)).Bytes, uint32(30000))
-	f.Add([]byte{0x22, 0x00, 0x00, 0x01, 0x88, 0x32, 0x00, 0x08}, uint32(100))
-	// Side exit: blt is taken for 40 trips — long past the hot threshold —
-	// then falls through, so the compiled superblock's guard must bail.
-	f.Add(asm.MustAssemble(`
-	main:	add r0,#0,r1
-	loop:	add r1,#1,r1
-		cmp r1,#40
-		blt loop
-		sub r1,#1,r2
-		ret r25,#8
-		nop
-	`).Bytes, uint32(20000))
-	// Self-modifying store into a compiled trace: once hot, the loop
-	// patches its own body, which must invalidate the trace exactly at
-	// the store boundary.
-	f.Add(asm.MustAssemble(`
-	main:	li #donor,r3
-		ldl (r3)#0,r1
-		li #patch,r4
-		add r0,#0,r2
-	patch:	add r2,#1,r2
-		cmp r2,#30
-		bge done
-		nop
-		cmp r2,#20
-		blt patch
-		nop
-		stl r1,(r4)#0
-		b patch
-		nop
-	done:	ret r25,#8
-		nop
-	donor:	add r2,#3,r2
-	`).Bytes, uint32(20000))
-	// Mid-trace fault: the load's address register climbs until the
-	// access leaves memory, long after the loop's trace compiled.
-	f.Add(asm.MustAssemble(`
-	main:	li #0x8000,r1
-	loop:	add r1,#64,r1
-		ldl (r1)#0,r2
-		cmp r2,#1
-		bne loop
-		nop
-		ret r25,#8
-		nop
-	`).Bytes, uint32(30000))
-	seed := make([]byte, 128)
-	rand.New(rand.NewSource(41)).Read(seed)
-	f.Add(seed, uint32(5000))
+	for _, s := range enginefuzz.Seeds() {
+		f.Add(s.Code, s.Limit)
+	}
 	f.Fuzz(func(t *testing.T, code []byte, limit uint32) {
-		if len(code) == 0 || len(code) > 4096 {
+		img, ok := enginefuzz.Image(code)
+		if !ok {
 			return
 		}
-		budget := 1 + uint64(limit)%30000
-		img := &asm.Image{Org: 0, Entry: 0, Bytes: code}
-		for _, mc := range []uint64{budget/4 + 1, budget/2 + 1, budget} {
-			cfg := Config{MemSize: 1 << 16, MaxCycles: mc}
+		for _, mc := range enginefuzz.Limits(limit) {
+			cfg := Config{MemSize: enginefuzz.MemSize, MaxCycles: mc}
 			cs, errS := runEngine(t, cfg, EngineStep, img)
 			cb, errB := runEngine(t, cfg, EngineBlock, img)
 			compareEngines(t, "block", cs, cb, errS, errB)

@@ -153,7 +153,7 @@ func ExecuteContext(ctx context.Context, b prog.Benchmark, target cc.Target, opt
 		}
 		if target == cc.RISCPipelined {
 			// The pipelined target measures cycles on the five-stage
-			// model; architectural execution is still the step oracle.
+			// model over whichever engine the run asked for.
 			m := pipeline.New(cfg, opt.Policy)
 			if err := m.Load(img); err != nil {
 				return nil, err

@@ -376,7 +376,7 @@ func TestFaultDifferential(t *testing.T) {
 // compileBench compiles a suite benchmark to a RISC image, with the wide
 // -data fallback the toolchain applies when a program's globals outgrow the
 // 13-bit displacement window.
-func compileBench(t *testing.T, b prog.Benchmark) *asm.Image {
+func compileBench(t testing.TB, b prog.Benchmark) *asm.Image {
 	t.Helper()
 	res, err := cc.Compile(b.Source, cc.Options{Target: cc.RISCPipelined})
 	if err != nil {
@@ -524,6 +524,80 @@ func TestDifferentialRetirement(t *testing.T) {
 				t.Errorf("delayed CPI = %.3f < 1", dl.CPI())
 			}
 		})
+	}
+}
+
+// TestSelfModifyingDifferential is the pipelined self-modifying-code case.
+// In the first program a hot loop patches another block once; in the
+// second every trip stores over the very next instruction of its own
+// block, so the block engine bails out after the store, reports the
+// retired prefix and recompiles the block under a new identity whose memo
+// starts empty. The default engine must time both exactly as the
+// per-instruction oracle does, and both must match the single-cycle core.
+func TestSelfModifyingDifferential(t *testing.T) {
+	for name, src := range map[string]string{
+		"patch-other": `
+	main:	li #donor,r3
+		ldl (r3)#0,r1
+		li #patch,r4
+		add r0,#0,r2
+	patch:	add r2,#1,r2
+		cmp r2,#60
+		bge done
+		nop
+		cmp r2,#20
+		blt patch
+		nop
+		stl r1,(r4)#0
+		b patch
+		nop
+	done:	ret r25,#8
+		nop
+	donor:	add r2,#3,r2
+	`,
+		"patch-own": `
+	main:	li #tgt,r4
+		ldl (r4)#0,r5
+		li #donor,r3
+		ldl (r3)#0,r6
+		add r0,#0,r2
+	loop:	stl r5,(r4)#0
+	tgt:	add r2,#1,r2
+		cmp r2,#20
+		blt loop
+		nop
+		add r6,#0,r5
+		cmp r2,#60
+		blt loop
+		nop
+		ret r25,#8
+		nop
+	donor:	add r2,#3,r2
+	`,
+	} {
+		img := assemble(t, src)
+		oracle := core.New(core.Config{})
+		if err := oracle.Load(img); err != nil {
+			t.Fatal(err)
+		}
+		if err := oracle.Run(); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []Policy{PolicyDelayed, PolicySquash} {
+			ms, errS := runEngine(t, core.Config{}, core.EngineStep, p, img)
+			mb, errB := runEngine(t, core.Config{}, core.EngineAuto, p, img)
+			compareRuns(t, ms, mb, errS, errB)
+			if errB != nil {
+				t.Fatalf("%s/%v: %v", name, p, errB)
+			}
+			if got, want := mb.CPU().Reg(2), oracle.Reg(2); got != want || got != 62 {
+				t.Errorf("%s/%v: r2 = %d, oracle %d, want 62", name, p, got, want)
+			}
+			if mb.memo.hits+mb.memo.misses == 0 {
+				t.Errorf("%s/%v: the default engine priced no block", name, p)
+			}
+			checkInvariant(t, mb.Result())
+		}
 	}
 }
 

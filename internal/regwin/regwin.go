@@ -50,7 +50,8 @@ type File struct {
 
 	// curBase and prevBase cache physBase(cwp) and physBase(cwp-1). Get and
 	// Set sit on the simulator's hot path, and physBase needs a modulo; the
-	// bases only change on push/pop/reset, so they are maintained there.
+	// bases only change on push/pop/reset, so they are maintained there
+	// (push and pop step them with ShiftBase).
 	curBase  int
 	prevBase int
 }
@@ -102,6 +103,24 @@ func floorMod(a, n int) int {
 // physBase returns the physical index of logical window w's r10 slot.
 func (f *File) physBase(w int) int {
 	return isa.NumGlobalRegs + isa.WindowRegs*floorMod(w, f.n)
+}
+
+// CurBase returns the physical index of the current window's r10 slot.
+func (f *File) CurBase() int { return f.curBase }
+
+// ShiftBase returns the base (physical index of r10) of the window d
+// windows beyond the one whose base is base, for |d| < Windows(). It wraps
+// around the file with a compare rather than a modulo: the pipeline model
+// and PushWindow/PopWindow derive neighbouring bases on every call.
+func (f *File) ShiftBase(base, d int) int {
+	b := base + d*isa.WindowRegs
+	switch span := f.n * isa.WindowRegs; {
+	case b < isa.NumGlobalRegs:
+		b += span
+	case b >= isa.NumGlobalRegs+span:
+		b -= span
+	}
+	return b
 }
 
 // PhysIndex maps (logical window, visible register) to a physical register
@@ -172,7 +191,7 @@ func (f *File) PushWindow() {
 	}
 	f.cwp++
 	f.prevBase = f.curBase
-	f.curBase = f.physBase(f.cwp)
+	f.curBase = f.ShiftBase(f.curBase, 1)
 }
 
 // NeedFill reports whether a return (PopWindow) would land in a window that
@@ -186,7 +205,7 @@ func (f *File) PopWindow() {
 	}
 	f.cwp--
 	f.curBase = f.prevBase
-	f.prevBase = f.physBase(f.cwp - 1)
+	f.prevBase = f.ShiftBase(f.curBase, -1)
 }
 
 // numLocal is the count of LOCAL registers (r16–r25) in a save image.

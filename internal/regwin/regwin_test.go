@@ -324,3 +324,39 @@ func TestSaveBytes(t *testing.T) {
 		t.Fatalf("SaveBytes = %d, want 64 (16 registers)", SaveBytes)
 	}
 }
+
+func TestShiftBaseMatchesPhysIndex(t *testing.T) {
+	// The cached bases and their modulo-free neighbours must name the same
+	// physical registers as PhysIndex through every wrap of the file, in
+	// both directions.
+	for _, n := range []int{3, 4, 8} {
+		f := New(n)
+		for step := 0; step < 3*n; step++ {
+			w := f.CWP()
+			if got, want := f.CurBase(), f.PhysIndex(w, isa.FirstLow); got != want {
+				t.Fatalf("n=%d cwp=%d: CurBase = %d, want %d", n, w, got, want)
+			}
+			for d := -(n - 1); d < n; d++ {
+				if got, want := f.ShiftBase(f.CurBase(), d), f.PhysIndex(w+d, isa.FirstLow); got != want {
+					t.Fatalf("n=%d cwp=%d: ShiftBase(_, %d) = %d, want %d", n, w, d, got, want)
+				}
+			}
+			if f.NeedSpill() {
+				f.SpillOldest()
+			}
+			f.PushWindow()
+		}
+		for f.CWP() > 0 {
+			if f.NeedFill() {
+				f.FillNewest(WindowSave{})
+			}
+			f.PopWindow()
+			if got, want := f.CurBase(), f.PhysIndex(f.CWP(), isa.FirstLow); got != want {
+				t.Fatalf("n=%d cwp=%d after pop: CurBase = %d, want %d", n, f.CWP(), got, want)
+			}
+			if got, want := f.Get(isa.FirstHigh), f.GetIn(f.CWP(), isa.FirstHigh); got != want {
+				t.Fatalf("n=%d cwp=%d: high register via cached base diverged", n, f.CWP())
+			}
+		}
+	}
+}

@@ -232,6 +232,10 @@ func (r *statusRecorder) Flush() {
 	}
 }
 
+// Unwrap exposes the wrapped writer to http.ResponseController, which the
+// SSE endpoint uses for its per-event write deadline.
+func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
+
 // endpointLabel collapses parameterized paths so metrics cardinality stays
 // bounded no matter what clients request.
 func endpointLabel(path string) string {

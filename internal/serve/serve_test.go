@@ -885,6 +885,49 @@ func TestRunPipelined(t *testing.T) {
 	}
 }
 
+// TestRunPipelinedEngines pins that the engine field reaches the pipelined
+// target and changes nothing observable: under "step" every instruction is
+// timed as it retires, under the default engine whole compiled blocks are
+// priced through the timing memo, and both runs must return identical
+// responses, pipeline section included, under both policies.
+func TestRunPipelinedEngines(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, policy := range []string{"delayed", "squash"} {
+		var got [2]RunResponse
+		for i, engine := range []string{"step", ""} {
+			resp, raw := postJSON(t, ts.URL+"/v1/run", RunRequest{
+				Source: fibSrc, Target: "pipelined", Policy: policy, Engine: engine})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s/%q: status %d\n%s", policy, engine, resp.StatusCode, raw)
+			}
+			if err := json.Unmarshal(raw, &got[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		step, auto := got[0], got[1]
+		if step.Pipeline == nil || auto.Pipeline == nil {
+			t.Fatalf("%s: missing pipeline section: step %v, default %v", policy, step.Pipeline, auto.Pipeline)
+		}
+		if !reflect.DeepEqual(*step.Pipeline, *auto.Pipeline) {
+			t.Errorf("%s: pipeline sections differ:\nstep:    %+v\ndefault: %+v",
+				policy, *step.Pipeline, *auto.Pipeline)
+		}
+		auto.Cached = step.Cached // the image cache hit is the only allowed difference
+		if !reflect.DeepEqual(step, auto) {
+			t.Errorf("%s: responses differ:\nstep:    %+v\ndefault: %+v", policy, step, auto)
+		}
+	}
+	_, raw := getBody(t, ts.URL+"/metrics")
+	for _, want := range []string{
+		`riscd_runs_total{engine="step"} 2`,
+		`riscd_runs_total{engine="auto"} 2`,
+	} {
+		if !strings.Contains(string(raw), want) {
+			t.Errorf("metrics missing %q", want)
+		}
+	}
+}
+
 // TestRunTraceTierMetrics runs a loop hot enough for the trace tier to
 // compile a superblock (and take its guarded side exit when the loop
 // ends), then checks the /metrics trace counters moved.

@@ -17,19 +17,29 @@
 //
 // Backpressure is the channel: console chunks are sent blocking, so a guest
 // that prints faster than the client reads stalls at the next chunk instead
-// of growing a buffer. Stats frames are droppable by design — they are
+// of growing a buffer. A client that stops reading altogether, without
+// hanging up, would hold its worker until the run's timeout that way; so
+// every event write has a deadline, and a write that misses it cancels the
+// run. Stats frames are droppable by design — they are
 // samples, not a ledger — so they use a non-blocking send and whatever
 // frame is current when the writer frees up wins.
 package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"time"
 
 	"risc1"
 )
+
+// streamWriteTimeout bounds the write of one event. An event is a few
+// hundred bytes at most, so a write only blocks when the client has left
+// the socket buffers full; one still blocked after this long belongs to a
+// client that stopped reading, and the run is canceled to free its worker.
+const streamWriteTimeout = 5 * time.Second
 
 // streamEvent is one SSE frame waiting to be written.
 type streamEvent struct {
@@ -42,8 +52,7 @@ func (s *Server) handleRunStream(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
+	if _, ok := w.(http.Flusher); !ok {
 		writeError(w, http.StatusInternalServerError, "internal",
 			"response writer cannot stream")
 		return
@@ -71,11 +80,30 @@ func (s *Server) handleRunStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Accel-Buffering", "no") // defeat proxy buffering
 	w.WriteHeader(http.StatusOK)
 
-	counts := map[string]uint64{"start": 1}
-	writeSSE(w, flusher, "start", StreamStart{
+	rc := http.NewResponseController(w)
+	// The deadline is the connection's: clear it so a keep-alive request
+	// that follows on the same connection does not inherit it. A failure
+	// leaves nothing to do: the connection is already unusable.
+	defer func() { _ = rc.SetWriteDeadline(time.Time{}) }()
+	counts := map[string]uint64{}
+	write := func(kind string, data any) bool {
+		if err := writeSSE(w, rc, kind, data); err != nil {
+			return false
+		}
+		counts[kind]++
+		return true
+	}
+	defer func() {
+		for kind, n := range counts {
+			s.met.addStreamEvents(kind, n)
+		}
+	}()
+	if !write("start", StreamStart{
 		Cached:     hit,
 		IntervalMS: s.cfg.StreamInterval.Milliseconds(),
-	})
+	}) {
+		return
+	}
 
 	ctx, cancel := s.runCtx(r, p.req.TimeoutMS)
 	defer cancel()
@@ -140,26 +168,33 @@ func (s *Server) handleRunStream(w http.ResponseWriter, r *http.Request) {
 		}})
 	}()
 
-	// Writer loop: drain until the simulation closes the channel. If the
-	// client is gone, writes fail silently and ctx cancellation (wired to
-	// r.Context by runCtx) stops the simulation; the loop still drains
-	// whatever the goroutine manages to send, keeping shutdown leak-free.
+	// Writer loop: drain until the simulation closes the channel. A client
+	// that hung up cancels the run through r.Context (runCtx wires it); one
+	// that stopped reading fails a write at its deadline, which cancels the
+	// run here. Either way the loop still drains whatever the goroutine
+	// manages to send, keeping shutdown leak-free.
+	broken := false
 	for ev := range events {
-		writeSSE(w, flusher, ev.kind, ev.data)
-		counts[ev.kind]++
-	}
-	for kind, n := range counts {
-		s.met.addStreamEvents(kind, n)
+		if !broken && !write(ev.kind, ev.data) {
+			broken = true
+			cancel()
+		}
 	}
 }
 
 // writeSSE emits one Server-Sent Event with a JSON payload and flushes it to
-// the socket.
-func writeSSE(w http.ResponseWriter, f http.Flusher, event string, data any) {
+// the socket, within streamWriteTimeout.
+func writeSSE(w http.ResponseWriter, rc *http.ResponseController, event string, data any) error {
 	b, err := json.Marshal(data)
 	if err != nil {
-		return
+		return nil // unencodable payload: skip the event, keep the stream
 	}
-	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, b)
-	f.Flush()
+	if err := rc.SetWriteDeadline(time.Now().Add(streamWriteTimeout)); err != nil &&
+		!errors.Is(err, http.ErrNotSupported) {
+		return err
+	}
+	if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, b); err != nil {
+		return err
+	}
+	return rc.Flush()
 }

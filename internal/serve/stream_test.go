@@ -362,6 +362,48 @@ func TestStreamDisconnectCancelsRun(t *testing.T) {
 	}
 }
 
+// TestStreamStalledClientReleasesWorker is the client that stops reading
+// without hanging up: its connection stays open, so only the per-event
+// write deadline can notice it. The guest prints forever, the socket
+// buffers fill, a write blocks past streamWriteTimeout, and the run must
+// be canceled — freeing the only worker long before the run's own 60 s
+// timeout.
+func TestStreamStalledClientReleasesWorker(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, Timeout: 60 * time.Second})
+	chatty := "main: add r0,#7,r10\nloop: stl r10,(r0)#-252\n jmpr alw,loop\n nop\n"
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	start := time.Now()
+	resp := postStream(t, ctx, ts.URL, RunRequest{Source: chatty, Lang: "asm"})
+	defer resp.Body.Close()
+	if ev, err := nextSSE(bufio.NewReader(resp.Body)); err != nil || ev.name != "start" {
+		t.Fatalf("first event %q, err %v", ev.name, err)
+	}
+	// Stop reading, keep the connection open.
+
+	deadline := time.Now().Add(streamWriteTimeout + 20*time.Second)
+	for {
+		_, raw := getBody(t, ts.URL+"/metrics")
+		text := string(raw)
+		if metricValue(t, text, "riscd_inflight_runs") == 0 &&
+			metricValue(t, text, "riscd_stream_active") == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("stalled stream still holds its worker after %v", time.Since(start))
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	t.Logf("worker released %v after the stream opened", time.Since(start).Round(time.Millisecond))
+
+	// The freed worker must be usable immediately.
+	r2, raw := postJSON(t, ts.URL+"/v1/run", RunRequest{Source: fibSrc})
+	if r2.StatusCode != http.StatusOK {
+		t.Fatalf("run after stalled stream: status %d\n%s", r2.StatusCode, raw)
+	}
+}
+
 // TestStreamBadInput pins that failures before the stream starts are still
 // ordinary JSON errors, not half-open event streams.
 func TestStreamBadInput(t *testing.T) {

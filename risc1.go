@@ -56,7 +56,7 @@ const (
 	CISC = cc.CISC
 	// RISCPipelined runs windowed code on the cycle-accurate five-stage
 	// pipeline model: architectural results identical to RISCWindowed
-	// (the pipeline drives the same step oracle), timing measured with
+	// (the pipeline runs the same core), timing measured with
 	// forwarding, interlocks, window-trap drains and a control-transfer
 	// policy instead of unit instruction costs.
 	RISCPipelined = cc.RISCPipelined
@@ -357,8 +357,10 @@ type RunOptions struct {
 	// cycles (RISC) or microcycles (CX). Zero keeps the machine default.
 	MaxCycles uint64
 	// Engine selects the RISC core execution engine. The CX machine has a
-	// single interpreter and ignores it; the pipelined target always runs
-	// the step oracle (the timing model observes individual retirements).
+	// single interpreter and ignores it. On the pipelined target EngineStep
+	// times every instruction as it retires, the per-instruction oracle;
+	// every other engine runs compiled blocks and prices each through the
+	// timing model's block memo, with identical results.
 	Engine Engine
 	// Policy selects the pipelined target's control-transfer policy
 	// (delayed or squash); other targets ignore it.
@@ -448,6 +450,7 @@ func RunImage(ctx context.Context, img *Image, opt RunOptions) (*RunInfo, error)
 		pm := pipeline.New(core.Config{
 			SaveStackBytes: 64 << 10,
 			MaxCycles:      opt.MaxCycles,
+			Engine:         opt.Engine,
 		}, opt.Policy)
 		defer pm.CPU().Mem.Release()
 		if err := pm.Load(img.risc); err != nil {
