@@ -31,6 +31,7 @@ import (
 
 	"risc1"
 	"risc1/internal/exp"
+	"risc1/internal/machine"
 	"risc1/internal/mem"
 )
 
@@ -300,37 +301,9 @@ func writeBenchProfile(path string, engine risc1.Engine) error {
 		return err
 	}
 	info := m.Info()
-	dump := struct {
-		Schema             string               `json:"schema"`
-		Engine             string               `json:"engine"`
-		TracesCompiled     uint64               `json:"traces_compiled"`
-		TraceSideExits     uint64               `json:"trace_side_exits"`
-		TraceInvalidations uint64               `json:"trace_invalidations"`
-		TraceInstructions  uint64               `json:"trace_instructions"`
-		HotBlocks          int                  `json:"hot_blocks"`
-		Blocks             []risc1.BlockProfile `json:"blocks"`
-		NGrams             []risc1.NGramCount   `json:"ngrams"`
-	}{
-		Schema:             "risc1-profile/1",
-		Engine:             engine.String(),
-		TracesCompiled:     info.TracesCompiled,
-		TraceSideExits:     info.TraceSideExits,
-		TraceInvalidations: info.TraceInvalidations,
-		TraceInstructions:  info.TraceInstructions,
-		HotBlocks:          info.HotBlocks,
-		Blocks:             m.Profile(),
-		NGrams:             append(m.HotNGrams(2, 8), m.HotNGrams(3, 8)...),
-	}
-	out, err := json.MarshalIndent(&dump, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	if path == "-" {
-		_, err = os.Stdout.Write(out)
-		return err
-	}
-	return os.WriteFile(path, out, 0o644)
+	info.Profile = m.Profile()
+	info.NGrams = append(m.HotNGrams(2, 8), m.HotNGrams(3, 8)...)
+	return machine.WriteProfile(path, engine, info)
 }
 
 // writeReport measures raw simulator throughput under all engines, pulls

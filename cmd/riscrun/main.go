@@ -26,51 +26,14 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
 	"risc1"
+	"risc1/internal/machine"
 )
-
-// profileDump is the JSON shape behind -profile, shared with riscbench.
-type profileDump struct {
-	Schema             string               `json:"schema"`
-	Engine             string               `json:"engine"`
-	TracesCompiled     uint64               `json:"traces_compiled"`
-	TraceSideExits     uint64               `json:"trace_side_exits"`
-	TraceInvalidations uint64               `json:"trace_invalidations"`
-	TraceInstructions  uint64               `json:"trace_instructions"`
-	HotBlocks          int                  `json:"hot_blocks"`
-	Blocks             []risc1.BlockProfile `json:"blocks"`
-	NGrams             []risc1.NGramCount   `json:"ngrams"`
-}
-
-func writeProfile(path string, engine risc1.Engine, info *risc1.RunInfo) error {
-	dump := profileDump{
-		Schema:             "risc1-profile/1",
-		Engine:             engine.String(),
-		TracesCompiled:     info.TracesCompiled,
-		TraceSideExits:     info.TraceSideExits,
-		TraceInvalidations: info.TraceInvalidations,
-		TraceInstructions:  info.TraceInstructions,
-		HotBlocks:          info.HotBlocks,
-		Blocks:             info.Profile,
-		NGrams:             info.NGrams,
-	}
-	out, err := json.MarshalIndent(dump, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	if path == "-" {
-		_, err = os.Stdout.Write(out)
-		return err
-	}
-	return os.WriteFile(path, out, 0o644)
-}
 
 func main() {
 	target := flag.String("target", "windowed", "machine for .cm sources: windowed, flat, cisc or pipelined")
@@ -179,7 +142,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "riscrun: %d data race(s) detected\n", len(info.Races))
 	}
 	if *profile != "" {
-		if err := writeProfile(*profile, engine, info); err != nil {
+		if err := machine.WriteProfile(*profile, engine, info); err != nil {
 			fatal(err)
 		}
 	}

@@ -291,6 +291,15 @@ func (a *assembler) add(it item) {
 	default:
 		a.pc += uint32(it.space)
 	}
+	// The image is allocated whole, so bound it by the largest .space
+	// (16 MiB): repeated .space lines must not allocate gigabytes or wrap
+	// the location counter (one item is far below 4 GiB, so a wrap lands
+	// below where the item started).
+	if a.pc < it.addr || a.pc-a.org > 1<<24 {
+		a.pc = it.addr
+		a.errorf("program outgrows the 16 MiB image limit or the 32-bit address space")
+		return
+	}
 	a.items = append(a.items, it)
 }
 

@@ -234,6 +234,8 @@ func TestErrors(t *testing.T) {
 		"org after code":    "nop\n.org 16",
 		"entry undefined":   ".entry nowhere\nnop",
 		"unbalanced":        "ldl (r2,r3",
+		"image over 16 MiB": ".space 16777216\n.word 1",
+		"address wrap":      ".org 0xFFFFFFFC\n.word 1\n.word 2",
 	}
 	for what, src := range cases {
 		if _, err := Assemble(src); err == nil {

@@ -31,6 +31,18 @@ type AsmError struct {
 
 func (e *AsmError) Error() string { return fmt.Sprintf("cisc/asm: line %d: %s", e.Line, e.Msg) }
 
+// AsmErrorList aggregates the diagnostics of one assembly so callers see
+// every problem at once.
+type AsmErrorList []*AsmError
+
+func (l AsmErrorList) Error() string {
+	msgs := make([]string, len(l))
+	for i, e := range l {
+		msgs[i] = e.Error()
+	}
+	return fmt.Sprintf("%d assembly errors:\n%s", len(l), strings.Join(msgs, "\n"))
+}
+
 // expr is a possibly-symbolic constant.
 type expr struct {
 	sym string
@@ -68,7 +80,7 @@ type casm struct {
 	org     uint32
 	orgSet  bool
 	pc      uint32
-	errs    []error
+	errs    []*AsmError
 	line    int
 }
 
@@ -95,11 +107,7 @@ func (a *casm) joined() error {
 	if len(a.errs) == 1 {
 		return a.errs[0]
 	}
-	msgs := make([]string, len(a.errs))
-	for i, e := range a.errs {
-		msgs[i] = e.Error()
-	}
-	return fmt.Errorf("%d assembly errors:\n%s", len(a.errs), strings.Join(msgs, "\n"))
+	return AsmErrorList(a.errs)
 }
 
 func (a *casm) errorf(format string, args ...any) {
@@ -135,6 +143,13 @@ func (a *casm) add(it item) {
 	it.line = a.line
 	it.addr = a.pc
 	a.pc += uint32(itemSize(&it))
+	// Bounded like the RISC I assembler's images: at most the largest
+	// .space (16 MiB), never wrapping the location counter.
+	if a.pc < it.addr || a.pc-a.org > 1<<24 {
+		a.pc = it.addr
+		a.errorf("program outgrows the 16 MiB image limit or the 32-bit address space")
+		return
+	}
 	a.items = append(a.items, it)
 }
 

@@ -336,6 +336,8 @@ func TestAssemblerErrors(t *testing.T) {
 		"undefined label":  "main: .mask\n br nowhere",
 		"redefined label":  "x: .mask\nx: ret",
 		"bad count":        "main: calls #999, main",
+		"image over 16MiB": "main: .space 16777216\n.word 1",
+		"address wrap":     ".org 0xFFFFFFFC\nmain: .word 1\n.word 2",
 	}
 	for what, src := range cases {
 		if _, err := Assemble(src); err == nil {
@@ -357,9 +359,6 @@ func TestCyclesAccumulate(t *testing.T) {
 	}
 	if s.FetchBytes == 0 {
 		t.Error("no fetch bytes recorded")
-	}
-	if c.Time() <= 0 {
-		t.Error("Time() not positive")
 	}
 }
 

@@ -266,8 +266,8 @@ func (b *block) blockPC(idx int) uint32 { return b.startPC + uint32(4*idx) }
 // runBlock executes b, iterating in place while b is a self-loop that
 // keeps branching back to its own leader. It reports how many
 // instructions it consumed from budget. Preconditions (nextBlock): not
-// halted, not in a delay slot, no interrupt pending, pc == b.startPC, no
-// Trace installed, and Cycles+cyclesButLast < MaxCycles.
+// halted, not in a delay slot, no interrupt pending, pc == b.startPC, and
+// Cycles+cyclesButLast < MaxCycles.
 func (c *CPU) runBlock(w uint32, b *block, budget int) (int, error) {
 	consumed := 0
 	for {

@@ -229,26 +229,23 @@ type CPU struct {
 	// compiles and invalidations land on the core that caused them.
 	traceStat TraceStats
 
-	// Trace, when non-nil, is called after every executed instruction
-	// with its address and decoded form (before the PC advances). It is a
-	// debugging hook: installing it forces the step oracle.
-	Trace func(pc uint32, inst isa.Inst)
-
-	// Retire, when non-nil, observes retirement in bulk for a timing
-	// model: one call per compiled block the block engine runs, one per
-	// single-stepped instruction otherwise (see Retired). Unlike Trace it
-	// keeps the block engine; it only turns off the trace tier, whose
-	// superblocks retire across taken branches without block boundaries.
+	// Retire, when non-nil, observes every retired instruction, in bulk:
+	// one call per compiled block the block engine runs, one per
+	// single-stepped instruction otherwise (see Retired). It is the one
+	// observation hook — a timing model prices the reports, a debugging
+	// trace walks them. It keeps the block engine; it only turns off the
+	// trace tier, whose superblocks retire across taken branches without
+	// block boundaries.
 	Retire   func(r *Retired)
 	retired  Retired
 	stepInst [1]isa.Inst
 
 	// Progress, when non-nil, is called at RunContext batch boundaries —
 	// at most once per runBatch instructions — with the instruction and
-	// cycle counters retired so far. Unlike Trace it does not force the
-	// step oracle: the compiled engines surface at batch boundaries
-	// anyway, so the hook costs one call per batch. It runs on the
-	// simulation goroutine; keep it cheap.
+	// cycle counters retired so far. It does not change the engine: the
+	// compiled engines surface at batch boundaries anyway, so the hook
+	// costs one call per batch. It runs on the simulation goroutine; keep
+	// it cheap.
 	Progress func(instructions, cycles uint64)
 }
 
@@ -402,11 +399,6 @@ func (c *CPU) Stats() *stats.Stats {
 	return c.stat
 }
 
-// Time returns the simulated elapsed time at the paper's 400 ns cycle.
-func (c *CPU) Time() float64 {
-	return float64(c.stat.Cycles) * timing.RiscCycleNS * 1e-9
-}
-
 // Interrupt queues an external interrupt that will redirect execution to
 // vector once interrupts are enabled and the processor is between
 // instructions (never between a transfer and its delay slot).
@@ -448,11 +440,10 @@ func (c *CPU) RunContext(ctx context.Context) error {
 }
 
 // engineTiers resolves the configured engine to the tiers a run may use.
-// The compiled engines are exact only without a per-instruction trace
-// callback; the auto engine falls back to stepping there. A Retire hook
-// observes block by block, so it keeps blocks but not superblocks.
+// A Retire hook observes block by block, so it keeps blocks but not
+// superblocks.
 func (c *CPU) engineTiers() (useBlocks, useTraces bool) {
-	useBlocks = c.cfg.Engine != EngineStep && c.Trace == nil
+	useBlocks = c.cfg.Engine != EngineStep
 	useTraces = useBlocks && c.cfg.Engine != EngineBlock && c.Retire == nil
 	return
 }
@@ -592,9 +583,6 @@ func (c *CPU) Step() error {
 	target, transferred, err := c.execute(inst, execPC)
 	if err != nil {
 		return c.runError(execPC, err)
-	}
-	if c.Trace != nil {
-		c.Trace(execPC, *inst)
 	}
 	if c.Retire != nil {
 		c.retireStep(execPC, inst, base, transferred, ovf, unf)

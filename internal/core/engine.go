@@ -9,9 +9,8 @@ type Engine uint8
 
 const (
 	// EngineAuto picks the fastest exact engine: the trace tier (block
-	// execution plus profile-guided superblocks once a leader warms up)
-	// whenever it is exact — no per-instruction Trace installed — and
-	// single-steps otherwise.
+	// execution plus profile-guided superblocks once a leader warms up),
+	// or plain blocks while a Retire hook observes retirement.
 	EngineAuto Engine = iota
 	// EngineBlock forces basic-block execution without the trace tier.
 	// Individual instructions still single-step where a block cannot

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"risc1/internal/asm"
@@ -357,21 +358,46 @@ func TestEngineEquivalenceInterrupt(t *testing.T) {
 	}
 }
 
-// TestEngineAutoTraceFallsBack pins the auto engine's trace contract: a
-// per-instruction Trace sees every instruction even under EngineAuto.
-func TestEngineAutoTraceFallsBack(t *testing.T) {
+// TestEngineAutoRetireSeesEveryInstruction pins the observation hook's
+// contract under the default engine: a Retire hook sees every retired
+// instruction exactly once, at its own address and in program order —
+// the same stream the step oracle reports one instruction at a time.
+func TestEngineAutoRetireSeesEveryInstruction(t *testing.T) {
 	img := asm.MustAssemble(loopSrc)
-	c := New(Config{Engine: EngineAuto})
-	if err := c.Load(img); err != nil {
-		t.Fatal(err)
+	var blocks int
+	observe := func(e Engine) ([]uint32, *CPU) {
+		c := New(Config{Engine: e})
+		if err := c.Load(img); err != nil {
+			t.Fatal(err)
+		}
+		var pcs []uint32
+		c.Retire = func(r *Retired) {
+			if r.Block != 0 {
+				blocks++
+			}
+			for i := range r.Insts {
+				pc := r.PC + uint32(4*i)
+				if word, err := c.Mem.Fetch32(pc); err != nil || r.Insts[i].Encode() != word {
+					t.Fatalf("%v: report at %#x does not match memory", e, pc)
+				}
+				pcs = append(pcs, pc)
+			}
+		}
+		if err := c.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return pcs, c
 	}
-	var traced uint64
-	c.Trace = func(pc uint32, inst isa.Inst) { traced++ }
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
+	auto, c := observe(EngineAuto)
+	if n := c.Stats().Instructions; uint64(len(auto)) != n {
+		t.Fatalf("Retire saw %d of %d instructions", len(auto), n)
 	}
-	if traced != c.Stats().Instructions {
-		t.Fatalf("trace saw %d of %d instructions", traced, c.Stats().Instructions)
+	if blocks == 0 {
+		t.Fatal("auto engine reported no compiled blocks")
+	}
+	step, _ := observe(EngineStep)
+	if !slices.Equal(auto, step) {
+		t.Fatalf("auto and step retirement streams differ (%d vs %d instructions)", len(auto), len(step))
 	}
 }
 

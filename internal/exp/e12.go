@@ -4,12 +4,10 @@ import (
 	"context"
 	"fmt"
 
-	"risc1/internal/asm"
 	"risc1/internal/cc"
-	"risc1/internal/core"
+	"risc1/internal/machine"
 	"risc1/internal/prog"
 	"risc1/internal/report"
-	"risc1/internal/smp"
 )
 
 // E12CoreCounts are the machine sizes the scalability sweep measures.
@@ -53,8 +51,9 @@ type E12Result struct {
 // core, total retirements, contention charges, and the E5 memory-traffic
 // totals under sharing. Each run's console output is checked against the
 // kernel's reference answer, so the table only ever shows correct
-// executions. The lab is unused — SMP machines are built directly — but
-// the signature matches the other experiments for Render.
+// executions. The lab is unused — the sweep runs the SMP machine through
+// machine.Run directly — but the signature matches the other experiments
+// for Render.
 func E12SMPScalability(_ *Lab) (*E12Result, error) {
 	res := &E12Result{Table: &report.Table{
 		Title: "E12. Shared-memory SMP scalability: parallel kernels on 1..8 cores",
@@ -65,41 +64,33 @@ func E12SMPScalability(_ *Lab) (*E12Result, error) {
 			"contention", "data traffic", "spawns"},
 	}}
 
+	ctx := context.Background()
 	for _, b := range prog.Parallel() {
-		ccRes, err := cc.Compile(b.Source, cc.Options{Target: cc.RISCWindowed, WideData: true})
+		img, _, err := machine.Compile(b.Source, cc.Options{Target: cc.RISCWindowed, WideData: true})
 		if err != nil {
 			return nil, fmt.Errorf("E12: compile %s: %w", b.Name, err)
-		}
-		img, err := asm.Assemble(ccRes.Asm)
-		if err != nil {
-			return nil, fmt.Errorf("E12: assemble %s: %w", b.Name, err)
 		}
 		row := E12Row{Name: b.Name}
 		var base uint64
 		for _, n := range E12CoreCounts {
-			m, err := smp.New(img, smp.Config{
-				Cores: n,
-				Core:  core.Config{SaveStackBytes: 64 << 10, Engine: core.EngineAuto},
-			})
+			// One core is the plain windowed machine: the SMP machine at
+			// one core is identical to it by construction.
+			r, err := machine.Run(ctx, img, machine.Config{Cores: n})
 			if err != nil {
 				return nil, fmt.Errorf("E12: %s on %d cores: %w", b.Name, n, err)
 			}
-			if err := m.Run(context.Background()); err != nil {
-				return nil, fmt.Errorf("E12: %s on %d cores: %w", b.Name, n, err)
-			}
-			if got, want := m.Console(), prog.Expected(b.Name); got != want {
+			if want := prog.Expected(b.Name); r.Console != want {
 				return nil, fmt.Errorf("E12: %s on %d cores: console %q, want %q",
-					b.Name, n, got, want)
+					b.Name, n, r.Console, want)
 			}
 			cell := E12Cell{
-				Cores:            n,
-				Elapsed:          m.Elapsed(),
-				ContentionCycles: m.ContentionCycles(),
-				Spawns:           m.Spawns(),
+				Cores:        n,
+				Elapsed:      r.Cycles,
+				Instructions: r.Instructions,
+				TrafficBytes: r.DataReadBytes + r.DataWriteBytes,
 			}
-			for _, cs := range m.CoreStats() {
-				cell.Instructions += cs.Instructions
-				cell.TrafficBytes += cs.DataReadBytes + cs.DataWriteBytes
+			if r.SMP != nil {
+				cell.ContentionCycles, cell.Spawns = r.SMP.ContentionCycles, r.SMP.Spawns
 			}
 			if n == 1 {
 				base = cell.Elapsed
@@ -122,19 +113,12 @@ func E12SMPScalability(_ *Lab) (*E12Result, error) {
 		// also checked race-free. (The detector forces the step engine; its
 		// timings are not comparable, so this run is not measured.)
 		widest := E12CoreCounts[len(E12CoreCounts)-1]
-		rm, err := smp.New(img, smp.Config{
-			Cores: widest,
-			Core:  core.Config{SaveStackBytes: 64 << 10},
-			Race:  true,
-		})
+		r, err := machine.Run(ctx, img, machine.Config{Cores: widest, Race: true})
 		if err != nil {
-			return nil, fmt.Errorf("E12: %s race check: %w", b.Name, err)
-		}
-		if err := rm.Run(context.Background()); err != nil {
 			return nil, fmt.Errorf("E12: %s race check on %d cores: %w", b.Name, widest, err)
 		}
-		if races := rm.Races(); len(races) != 0 {
-			return nil, fmt.Errorf("E12: %s on %d cores is racy: %v", b.Name, widest, races)
+		if len(r.Races) != 0 {
+			return nil, fmt.Errorf("E12: %s on %d cores is racy: %v", b.Name, widest, r.Races)
 		}
 		res.Rows = append(res.Rows, row)
 	}

@@ -18,10 +18,9 @@ import (
 	"sync"
 	"time"
 
-	"risc1/internal/asm"
 	"risc1/internal/cc"
-	"risc1/internal/cisc"
 	"risc1/internal/core"
+	"risc1/internal/machine"
 	"risc1/internal/mem"
 	"risc1/internal/pipeline"
 	"risc1/internal/prog"
@@ -86,104 +85,48 @@ func Execute(b prog.Benchmark, target cc.Target, opt Options) (*Run, error) {
 	return ExecuteContext(context.Background(), b, target, opt)
 }
 
-// armFault installs a private copy of the plan so concurrent runs sharing
-// one Options value keep independent access counters.
-func armFault(m *mem.Memory, plan *mem.FaultPlan) {
-	if plan != nil {
-		p := *plan
-		m.SetFaultPlan(&p)
-	}
-}
-
 // ExecuteContext is Execute honoring ctx: cancellation or deadline expiry
 // aborts the simulation at the next run-batch boundary.
 func ExecuteContext(ctx context.Context, b prog.Benchmark, target cc.Target, opt Options) (*Run, error) {
-	res, err := cc.Compile(b.Source, cc.Options{Target: target, NoDelaySlotFill: opt.NoDelayFill})
-	if err != nil {
+	fail := func(err error) (*Run, error) {
 		return nil, fmt.Errorf("%s on %v: %w", b.Name, target, err)
 	}
-	run := &Run{Bench: b, Target: target, SlotsFilled: res.SlotsFilled, Engine: opt.Engine}
-
-	switch target {
-	case cc.CISC:
-		img, err := cisc.Assemble(res.Asm)
-		if err != nil {
-			return nil, fmt.Errorf("%s on %v: %w", b.Name, target, err)
-		}
-		run.CodeBytes, run.DataBytes = split(img.Symbols, img.Org, len(img.Bytes))
-		m := cisc.New(cisc.Config{})
-		if err := m.Load(img); err != nil {
-			return nil, err
-		}
-		armFault(m.Mem, opt.Fault)
-		if err := m.RunContext(ctx); err != nil {
-			return nil, fmt.Errorf("%s on %v: %w", b.Name, target, err)
-		}
-		run.Stats = m.Stats()
-		run.Seconds = m.Time()
-		run.Console = m.Console()
-	default:
-		img, err := asm.Assemble(res.Asm)
-		if err != nil {
-			// Programs whose data exceeds the global pointer's 8 KiB
-			// window fail the 13-bit range check; recompile with full
-			// 32-bit addressing. Any other assembly error is genuine
-			// and reported as-is.
-			if !asm.IsOutOfRange(err) {
-				return nil, fmt.Errorf("%s on %v: %w", b.Name, target, err)
-			}
-			res, err = cc.Compile(b.Source, cc.Options{
-				Target: target, NoDelaySlotFill: opt.NoDelayFill, WideData: true})
-			if err != nil {
-				return nil, fmt.Errorf("%s on %v: %w", b.Name, target, err)
-			}
-			run.SlotsFilled = res.SlotsFilled
-			img, err = asm.Assemble(res.Asm)
-			if err != nil {
-				return nil, fmt.Errorf("%s on %v: %w", b.Name, target, err)
-			}
-		}
-		run.CodeBytes, run.DataBytes = split(img.Symbols, img.Org, len(img.Bytes))
-		cfg := core.Config{
-			Flat:           target == cc.RISCFlat,
-			Windows:        opt.Windows,
-			SpillBatch:     opt.SpillBatch,
-			SaveStackBytes: 64 << 10,
-			Engine:         opt.Engine,
-		}
-		if target == cc.RISCPipelined {
-			// The pipelined target measures cycles on the five-stage
-			// model over whichever engine the run asked for.
-			m := pipeline.New(cfg, opt.Policy)
-			if err := m.Load(img); err != nil {
-				return nil, err
-			}
-			armFault(m.CPU().Mem, opt.Fault)
-			if err := m.RunContext(ctx); err != nil {
-				return nil, fmt.Errorf("%s on %v: %w", b.Name, target, err)
-			}
-			res := m.Result()
-			run.Pipeline = &res
-			run.Stats = m.CPU().Stats()
-			run.Seconds = res.Time()
-			run.Console = m.CPU().Console()
-		} else {
-			m := core.New(cfg)
-			if err := m.Load(img); err != nil {
-				return nil, err
-			}
-			armFault(m.Mem, opt.Fault)
-			if err := m.RunContext(ctx); err != nil {
-				return nil, fmt.Errorf("%s on %v: %w", b.Name, target, err)
-			}
-			run.Stats = m.Stats()
-			run.Seconds = m.Time()
-			run.Console = m.Console()
-		}
+	img, slots, err := machine.Compile(b.Source, cc.Options{Target: target, NoDelaySlotFill: opt.NoDelayFill})
+	if err != nil {
+		return fail(err)
 	}
-	if want := prog.Expected(b.Name); run.Console != want {
-		return nil, fmt.Errorf("%s on %v: produced %q, want %q",
-			b.Name, target, run.Console, want)
+	res, err := machine.Run(ctx, img, machine.Config{
+		Engine:     opt.Engine,
+		Policy:     opt.Policy,
+		Windows:    opt.Windows,
+		SpillBatch: opt.SpillBatch,
+		Fault:      opt.Fault,
+	})
+	if err != nil {
+		return fail(err)
+	}
+	if want := prog.Expected(b.Name); res.Console != want {
+		return fail(fmt.Errorf("produced %q, want %q", res.Console, want))
+	}
+	cycleNS := float64(timing.RiscCycleNS)
+	if target == cc.CISC {
+		cycleNS = timing.CXMicrocycleNS
+	}
+	run := &Run{
+		Bench:       b,
+		Target:      target,
+		Stats:       res.Stats,
+		Seconds:     float64(res.Cycles) * cycleNS * 1e-9,
+		Console:     res.Console,
+		SlotsFilled: slots,
+		Engine:      opt.Engine,
+		Pipeline:    res.Timing,
+	}
+	risc, cx := machine.Programs(img)
+	if cx != nil {
+		run.CodeBytes, run.DataBytes = split(cx.Symbols, cx.Org, len(cx.Bytes))
+	} else {
+		run.CodeBytes, run.DataBytes = split(risc.Symbols, risc.Org, len(risc.Bytes))
 	}
 	return run, nil
 }

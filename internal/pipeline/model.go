@@ -58,7 +58,6 @@
 package pipeline
 
 import (
-	"context"
 	"fmt"
 
 	"risc1/internal/asm"
@@ -171,11 +170,6 @@ func (r Result) FillRate() float64 {
 func (r Result) StallCycles() uint64 {
 	return r.LoadUseStallCycles + r.WindowStallCycles + r.FlushBubbleCycles +
 		r.MemPortStallCycles
-}
-
-// Time is the simulated pipelined run time in seconds at the paper's clock.
-func (r Result) Time() float64 {
-	return float64(r.Cycles) * timing.RiscCycleNS * 1e-9
 }
 
 // inflight is one of the last three retirements, reduced to what a later
@@ -504,9 +498,6 @@ func New(cfg core.Config, policy Policy) *Machine {
 // CPU exposes the architectural oracle: registers, memory, console, stats.
 func (m *Machine) CPU() *core.CPU { return m.cpu }
 
-// Policy returns the machine's control-transfer policy.
-func (m *Machine) Policy() Policy { return m.t.policy }
-
 // Load places an image in memory, resets the processor and the timing model.
 func (m *Machine) Load(img *asm.Image) error {
 	if err := m.cpu.Load(img); err != nil {
@@ -531,13 +522,6 @@ func (m *Machine) Load(img *asm.Image) error {
 
 // Run executes until halt, fault or cycle budget.
 func (m *Machine) Run() error { return m.cpu.Run() }
-
-// RunContext is Run with cancellation.
-func (m *Machine) RunContext(ctx context.Context) error { return m.cpu.RunContext(ctx) }
-
-// Step retires a single instruction through both the oracle and the
-// timing model.
-func (m *Machine) Step() error { return m.cpu.Step() }
 
 // Result returns the timing outcome so far. It is valid after a partial
 // run (fault, cycle limit, cancellation): it describes the instructions

@@ -26,20 +26,16 @@ package risc1
 
 import (
 	"context"
-	"time"
 
 	"risc1/internal/asm"
 	"risc1/internal/cc"
-	"risc1/internal/cisc"
 	"risc1/internal/core"
 	"risc1/internal/exp"
-	"risc1/internal/isa"
 	"risc1/internal/lint"
-	"risc1/internal/mem"
+	"risc1/internal/machine"
 	"risc1/internal/pipeline"
 	"risc1/internal/prog"
 	"risc1/internal/smp"
-	"risc1/internal/timing"
 )
 
 // Target selects a compilation target for Cm sources.
@@ -87,8 +83,9 @@ func ParsePolicy(s string) (Policy, error) { return pipeline.ParsePolicy(s) }
 // statistics, faults — and differ only in speed; see core.Engine.
 type Engine = core.Engine
 
-// The execution engines. EngineAuto resolves to the trace tier unless a
-// per-instruction trace callback is installed.
+// The execution engines. EngineAuto resolves to the trace tier, or to plain
+// blocks while a per-instruction trace callback (Machine.SetTrace) is
+// installed.
 const (
 	EngineAuto  = core.EngineAuto
 	EngineBlock = core.EngineBlock
@@ -142,66 +139,10 @@ var (
 // this is ~7 simulated minutes — far beyond any legitimate benchmark.)
 const DefaultMaxCycles uint64 = 1_000_000_000
 
-// RunInfo summarizes one program execution.
-type RunInfo struct {
-	Console string
-	// ConsoleTruncated reports that the program printed more than the
-	// console device retains (mem.DefaultConsoleLimit) and the excess was
-	// dropped.
-	ConsoleTruncated bool
-	Instructions     uint64
-	Cycles           uint64 // processor cycles (RISC) or microcycles (CX)
-	Time             time.Duration
-	CodeBytes        int
-	DataBytes        int
-
-	Calls            uint64
-	MaxCallDepth     int
-	WindowOverflows  uint64
-	WindowUnderflows uint64
-	DataReadBytes    uint64
-	DataWriteBytes   uint64
-	FetchBytes       uint64
-
-	// Trace-tier meta statistics, populated on RISC targets when the auto
-	// or trace engine ran. They live outside the architectural statistics
-	// above on purpose: all engines agree on those exactly, and only the
-	// trace tier has traces to count.
-	TracesCompiled     uint64
-	TraceSideExits     uint64
-	TraceInvalidations uint64
-	// TraceInstructions counts dynamic instructions retired inside
-	// compiled traces (a subset of Instructions).
-	TraceInstructions uint64
-	// HotBlocks counts block leaders whose execution heat reached the
-	// trace-compile threshold.
-	HotBlocks int
-	// Profile and NGrams carry the full heat table and the measured
-	// dynamic opcode n-grams; both are filled only when
-	// RunOptions.Profile is set.
-	Profile []BlockProfile
-	NGrams  []NGramCount
-
-	// Pipeline carries the cycle-accurate timing breakdown for runs on
-	// the RISCPipelined target; nil for every other target. For those
-	// runs Cycles and Time above are the measured pipeline values, and
-	// Pipeline.RefCycles preserves the single-cycle model's count.
-	Pipeline *PipelineInfo
-
-	// SMP carries the shared-memory machine's breakdown for runs with
-	// RunOptions.Cores > 1; nil otherwise. For those runs Instructions and
-	// the data-traffic totals above aggregate every core, and Cycles is
-	// the machine's makespan (max over cores of executed plus contention
-	// cycles).
-	SMP *SMPInfo
-
-	// Races holds the data races the dynamic detector observed, filled
-	// only when RunOptions.Race is set. Empty means the execution was
-	// race-free under the hybrid lockset/happens-before test; each entry
-	// records the two unsynchronized accesses with core, PC and source
-	// line. Reporting is capped per run, one race per shared word.
-	Races []Race
-}
+// RunInfo summarizes one program execution: console output, the
+// architectural statistics, the trace tier's counters, and the pipeline,
+// SMP and race sections of the runs that have them; see machine.Info.
+type RunInfo = machine.Info
 
 // Race is one dynamically-observed data race; see internal/smp.
 type Race = smp.Race
@@ -211,58 +152,22 @@ type Race = smp.Race
 type RaceAccess = smp.RaceAccess
 
 // SMPInfo is the shared-memory machine's execution breakdown.
-type SMPInfo struct {
-	Cores int `json:"cores"`
-	// ElapsedCycles is the makespan under the interconnect cost model.
-	ElapsedCycles uint64 `json:"elapsed_cycles"`
-	// ContentionCycles totals the arbitration penalty charged across cores
-	// for rounds where more than one core touched memory.
-	ContentionCycles uint64 `json:"contention_cycles"`
-	// Rounds counts scheduler rounds; Spawns counts workers launched and
-	// SpawnFails the spawn requests that fell back to an inline call.
-	Rounds     uint64        `json:"rounds"`
-	Spawns     uint64        `json:"spawns"`
-	SpawnFails uint64        `json:"spawn_fails"`
-	PerCore    []SMPCoreInfo `json:"per_core"`
-}
+type SMPInfo = machine.SMPInfo
 
 // SMPCoreInfo is one core's share of a shared-memory run.
 type SMPCoreInfo = smp.CoreStats
 
 // PipelineInfo is the cycle-accurate pipeline's timing breakdown.
-type PipelineInfo struct {
-	Policy string  `json:"policy"`
-	Cycles uint64  `json:"cycles"`
-	CPI    float64 `json:"cpi"`
-	// RefCycles is what the single-cycle cost model charges the same
-	// execution — the baseline the pipeline is measured against.
-	RefCycles          uint64  `json:"ref_cycles"`
-	LoadUseStallCycles uint64  `json:"load_use_stall_cycles"`
-	WindowStallCycles  uint64  `json:"window_stall_cycles"`
-	MemPortStallCycles uint64  `json:"mem_port_stall_cycles"`
-	FlushBubbleCycles  uint64  `json:"flush_bubble_cycles"`
-	ForwardsEXMEM      uint64  `json:"forwards_ex_mem"`
-	ForwardsMEMWB      uint64  `json:"forwards_mem_wb"`
-	DelaySlots         uint64  `json:"delay_slots"`
-	DelaySlotsFilled   uint64  `json:"delay_slots_filled"`
-	FillRatePct        float64 `json:"fill_rate_pct"`
-}
+type PipelineInfo = machine.PipelineInfo
 
 // BlockProfile is one row of the execution-heat profile: a basic-block
 // leader, how many times it dispatched, and whether a live compiled trace
 // covers it.
-type BlockProfile struct {
-	PC    uint32 `json:"pc"`
-	Count uint64 `json:"count"`
-	Trace bool   `json:"trace"`
-}
+type BlockProfile = machine.BlockProfile
 
 // NGramCount is one measured dynamic opcode n-gram — the profile the
 // trace tier's instruction-fusion repertoire grows from.
-type NGramCount struct {
-	Ops   []string `json:"ops"`
-	Count uint64   `json:"count"`
-}
+type NGramCount = machine.NGramCount
 
 // BuildAndRun compiles a Cm program, assembles it and runs it to completion
 // on the selected machine, returning the console output and statistics.
@@ -286,50 +191,13 @@ func BuildAndRunContext(ctx context.Context, source string, target Target) (*Run
 // immutable after creation — running it copies the bytes into a fresh
 // machine — so one Image can safely serve many concurrent RunImage calls.
 // This is the unit the riscd serving layer caches: compile once, run many.
-type Image struct {
-	target Target
-	risc   *asm.Image
-	cisc   *cisc.Image
-}
-
-// Target returns the machine the image was compiled for.
-func (img *Image) Target() Target { return img.target }
-
-// Size returns the image size in bytes (code plus initialized data).
-func (img *Image) Size() int {
-	if img.target == CISC {
-		return img.cisc.Size()
-	}
-	return len(img.risc.Bytes)
-}
-
-// Disassemble renders the image's encoded listing.
-func (img *Image) Disassemble() string {
-	if img.target == CISC {
-		return cisc.Disassemble(img.cisc)
-	}
-	return asm.Disassemble(img.risc)
-}
+type Image = machine.Image
 
 // CompileToImage compiles a Cm program to a reusable Image for the given
 // target, including BuildAndRun's wide-addressing fallback for RISC targets.
 func CompileToImage(source string, target Target) (*Image, error) {
-	if target == CISC {
-		res, err := cc.Compile(source, cc.Options{Target: target})
-		if err != nil {
-			return nil, err
-		}
-		ci, err := cisc.Assemble(res.Asm)
-		if err != nil {
-			return nil, err
-		}
-		return &Image{target: target, cisc: ci}, nil
-	}
-	ri, err := compileRISC(source, target)
-	if err != nil {
-		return nil, err
-	}
-	return &Image{target: target, risc: ri}, nil
+	img, _, err := machine.Compile(source, cc.Options{Target: target})
+	return img, err
 }
 
 // AssembleToImage assembles machine-level source to a reusable Image: RISC I
@@ -337,18 +205,7 @@ func CompileToImage(source string, target Target) (*Image, error) {
 // differ only in how the machine runs the image, not in its encoding), CX
 // assembly for CISC.
 func AssembleToImage(source string, target Target) (*Image, error) {
-	if target == CISC {
-		ci, err := cisc.Assemble(source)
-		if err != nil {
-			return nil, err
-		}
-		return &Image{target: target, cisc: ci}, nil
-	}
-	ri, err := asm.Assemble(source)
-	if err != nil {
-		return nil, err
-	}
-	return &Image{target: target, risc: ri}, nil
+	return machine.Assemble(source, target)
 }
 
 // RunOptions bounds one image execution.
@@ -387,280 +244,31 @@ type RunOptions struct {
 	Monitor *RunMonitor
 }
 
-// RunMonitor observes a run in flight. Both callbacks run on the simulation
-// goroutine: a callback that blocks stalls the guest program, which is how a
-// streaming consumer applies backpressure deliberately. Either field may be
-// nil.
-type RunMonitor struct {
-	// Console receives each console rendering (one putc byte or one putint
-	// decimal string) as the guest emits it, including output the retained
-	// console buffer drops at its cap — live consumers see everything even
-	// when RunInfo.Console is truncated.
-	Console func(chunk string)
-	// Progress is called periodically — at run-batch boundaries on the
-	// single-core machines, after each scheduling round on the SMP
-	// machine — with the instruction and cycle counters retired so far.
-	Progress func(instructions, cycles uint64)
-}
-
-// install arms the monitor's callbacks on one machine's memory and progress
-// hook. setProgress receives a nil-able hook so machines without the monitor
-// stay zero-overhead.
-func (mon *RunMonitor) install(m *mem.Memory, setProgress func(func(uint64, uint64))) {
-	if mon == nil {
-		return
-	}
-	if mon.Console != nil {
-		m.SetConsoleSink(mon.Console)
-	}
-	if mon.Progress != nil {
-		setProgress(mon.Progress)
-	}
-}
+// RunMonitor observes a run in flight — the seam the riscd streaming API is
+// built on. Both callbacks run on the simulation goroutine; see
+// machine.Monitor.
+type RunMonitor = machine.Monitor
 
 // RunImage runs a compiled image to completion on a fresh machine of its
 // target, honoring ctx like BuildAndRunContext. The image is not modified,
 // so concurrent RunImage calls on one Image are safe. RunImage owns the
 // machine for exactly this run: once the RunInfo is built, on success and
 // on every error, it releases the machine's memory for the next run to
-// reuse. Machines built any other way keep their memory.
+// reuse. Only a Machine from NewMachine keeps its memory.
 func RunImage(ctx context.Context, img *Image, opt RunOptions) (*RunInfo, error) {
-	if opt.Cores < 0 || opt.Cores > MaxCores {
-		return nil, ErrBadCores
-	}
-	if opt.Cores > 1 || opt.Race {
-		if img.target != RISCWindowed {
-			return nil, ErrWindowedOnly
-		}
-		return runSMP(ctx, img, opt)
-	}
-	if img.target == CISC {
-		m := cisc.New(cisc.Config{MaxCycles: opt.MaxCycles})
-		defer m.Mem.Release()
-		if err := m.Load(img.cisc); err != nil {
-			return nil, err
-		}
-		opt.Monitor.install(m.Mem, func(f func(uint64, uint64)) { m.Progress = f })
-		if err := m.RunContext(ctx); err != nil {
-			return nil, err
-		}
-		return ciscInfo(m, img.cisc), nil
-	}
-	if img.target == RISCPipelined {
-		pm := pipeline.New(core.Config{
-			SaveStackBytes: 64 << 10,
-			MaxCycles:      opt.MaxCycles,
-			Engine:         opt.Engine,
-		}, opt.Policy)
-		defer pm.CPU().Mem.Release()
-		if err := pm.Load(img.risc); err != nil {
-			return nil, err
-		}
-		cpu := pm.CPU()
-		opt.Monitor.install(cpu.Mem, func(f func(uint64, uint64)) { cpu.Progress = f })
-		if err := pm.RunContext(ctx); err != nil {
-			return nil, err
-		}
-		info := riscInfo(pm.CPU(), len(img.risc.Bytes))
-		res := pm.Result()
-		info.Pipeline = pipelineInfo(res, info.Cycles)
-		// Report the measured pipeline timing as the run's headline
-		// cycles; the single-cycle count stays in Pipeline.RefCycles.
-		info.Cycles = res.Cycles
-		info.Time = timing.RiscTime(res.Cycles)
-		return info, nil
-	}
-	m := core.New(core.Config{
-		Flat:           img.target == RISCFlat,
-		SaveStackBytes: 64 << 10,
-		MaxCycles:      opt.MaxCycles,
-		Engine:         opt.Engine,
-	})
-	defer m.Mem.Release()
-	if err := m.Load(img.risc); err != nil {
-		return nil, err
-	}
-	opt.Monitor.install(m.Mem, func(f func(uint64, uint64)) { m.Progress = f })
-	if err := m.RunContext(ctx); err != nil {
-		return nil, err
-	}
-	info := riscInfo(m, len(img.risc.Bytes))
-	if opt.Profile {
-		info.Profile = heatProfile(m)
-		info.NGrams = hotNGrams(m)
-	}
-	return info, nil
-}
-
-// runSMP executes a windowed image on the shared-memory multiprocessor.
-func runSMP(ctx context.Context, img *Image, opt RunOptions) (*RunInfo, error) {
-	cores := opt.Cores
-	if cores < 1 {
-		cores = 1
-	}
-	m, err := smp.New(img.risc, smp.Config{
-		Cores: cores,
-		Race:  opt.Race,
-		Core: core.Config{
-			SaveStackBytes: 64 << 10,
-			MaxCycles:      opt.MaxCycles,
-			Engine:         opt.Engine,
-		},
+	res, err := machine.Run(ctx, img, machine.Config{
+		MaxCycles: opt.MaxCycles,
+		Engine:    opt.Engine,
+		Policy:    opt.Policy,
+		Profile:   opt.Profile,
+		Cores:     opt.Cores,
+		Race:      opt.Race,
+		Monitor:   opt.Monitor,
 	})
 	if err != nil {
 		return nil, err
 	}
-	defer m.Core(0).Mem.Release() // the cores share one memory
-	opt.Monitor.install(m.Core(0).Mem, func(f func(uint64, uint64)) { m.Progress = f })
-	if err := m.Run(ctx); err != nil {
-		return nil, err
-	}
-	leader := m.Core(0)
-	info := riscInfo(leader, len(img.risc.Bytes))
-	if opt.Profile {
-		info.Profile = heatProfile(leader)
-		info.NGrams = hotNGrams(leader)
-	}
-	perCore := m.CoreStats()
-	si := &SMPInfo{
-		Cores:            m.Cores(),
-		ElapsedCycles:    m.Elapsed(),
-		ContentionCycles: m.ContentionCycles(),
-		Rounds:           m.Rounds(),
-		Spawns:           m.Spawns(),
-		SpawnFails:       m.SpawnFails(),
-		PerCore:          perCore,
-	}
-	// Aggregate the whole machine into the headline fields: total
-	// retirements and traffic, makespan cycles.
-	info.Instructions, info.DataReadBytes, info.DataWriteBytes = 0, 0, 0
-	info.FetchBytes, info.Calls = 0, 0
-	for i, cs := range perCore {
-		info.Instructions += cs.Instructions
-		info.DataReadBytes += cs.DataReadBytes
-		info.DataWriteBytes += cs.DataWriteBytes
-		cst := m.Core(i).Stats()
-		info.FetchBytes += cst.FetchBytes
-		info.Calls += cst.Calls
-	}
-	info.Cycles = si.ElapsedCycles
-	info.Time = timing.RiscTime(si.ElapsedCycles)
-	info.SMP = si
-	if opt.Race {
-		info.Races = m.Races()
-	}
-	return info, nil
-}
-
-// compileRISC compiles and assembles a Cm program for a RISC target. When
-// assembly fails only because a value outran its immediate field — a program
-// whose data exceeds the global pointer's 8 KiB reach — it recompiles once
-// with full 32-bit addressing. Any other assembly error is returned as-is:
-// retrying could only mask the genuine diagnostic behind a second compile.
-func compileRISC(source string, target Target) (*asm.Image, error) {
-	res, err := cc.Compile(source, cc.Options{Target: target})
-	if err != nil {
-		return nil, err
-	}
-	img, err := asm.Assemble(res.Asm)
-	if err == nil || !asm.IsOutOfRange(err) {
-		return img, err
-	}
-	res, werr := cc.Compile(source, cc.Options{Target: target, WideData: true})
-	if werr != nil {
-		return nil, err // report the original, narrow-addressing failure
-	}
-	return asm.Assemble(res.Asm)
-}
-
-func riscInfo(m *core.CPU, imageBytes int) *RunInfo {
-	s := m.Stats()
-	ts := m.TraceStats()
-	info := &RunInfo{
-		Console:          m.Console(),
-		ConsoleTruncated: m.Mem.ConsoleTruncated(),
-		Instructions:     s.Instructions,
-		Cycles:           s.Cycles,
-		Time:             timing.RiscTime(s.Cycles),
-		CodeBytes:        imageBytes,
-		Calls:            s.Calls,
-		MaxCallDepth:     s.MaxCallDepth,
-		WindowOverflows:  s.WindowOverflow,
-		WindowUnderflows: s.WindowUnderflow,
-		DataReadBytes:    s.DataReads,
-		DataWriteBytes:   s.DataWrites,
-		FetchBytes:       s.FetchBytes,
-
-		TracesCompiled:     ts.Compiled,
-		TraceSideExits:     ts.SideExits,
-		TraceInvalidations: ts.Invalidations,
-		TraceInstructions:  ts.Instructions,
-	}
-	thr := m.HotThreshold()
-	for _, h := range m.HeatProfile() {
-		if h.Count >= thr {
-			info.HotBlocks++
-		}
-	}
-	return info
-}
-
-// pipelineInfo converts a pipeline timing result to the facade type.
-// refCycles is the single-cycle model's count for the same execution.
-func pipelineInfo(r pipeline.Result, refCycles uint64) *PipelineInfo {
-	return &PipelineInfo{
-		Policy:             r.Policy.String(),
-		Cycles:             r.Cycles,
-		CPI:                r.CPI(),
-		RefCycles:          refCycles,
-		LoadUseStallCycles: r.LoadUseStallCycles,
-		WindowStallCycles:  r.WindowStallCycles,
-		MemPortStallCycles: r.MemPortStallCycles,
-		FlushBubbleCycles:  r.FlushBubbleCycles,
-		ForwardsEXMEM:      r.ForwardsEXMEM,
-		ForwardsMEMWB:      r.ForwardsMEMWB,
-		DelaySlots:         r.DelaySlots,
-		DelaySlotsFilled:   r.DelaySlotsFilled,
-		FillRatePct:        100 * r.FillRate(),
-	}
-}
-
-// heatProfile converts the core's heat table to the facade type.
-func heatProfile(m *core.CPU) []BlockProfile {
-	heat := m.HeatProfile()
-	out := make([]BlockProfile, len(heat))
-	for i, h := range heat {
-		out[i] = BlockProfile{PC: h.PC, Count: h.Count, Trace: h.Trace}
-	}
-	return out
-}
-
-// hotNGrams collects the top measured bigrams and trigrams.
-func hotNGrams(m *core.CPU) []NGramCount {
-	var out []NGramCount
-	for _, n := range []int{2, 3} {
-		for _, g := range m.HotNGrams(n, 8) {
-			out = append(out, NGramCount{Ops: g.Ops, Count: g.Count})
-		}
-	}
-	return out
-}
-
-func ciscInfo(m *cisc.CPU, img *cisc.Image) *RunInfo {
-	s := m.Stats()
-	return &RunInfo{
-		Console:          m.Console(),
-		ConsoleTruncated: m.Mem.ConsoleTruncated(),
-		Instructions:     s.Instructions,
-		Cycles:           s.Cycles,
-		Time:             timing.CXTime(s.Cycles),
-		CodeBytes:        img.Size(),
-		Calls:            s.Calls,
-		MaxCallDepth:     s.MaxCallDepth,
-		DataReadBytes:    s.DataReads,
-		DataWriteBytes:   s.DataWrites,
-		FetchBytes:       s.FetchBytes,
-	}
+	return &res.Info, nil
 }
 
 // MachineConfig sizes an assembly-level RISC I machine.
@@ -731,23 +339,18 @@ func (m *Machine) Info() *RunInfo {
 	if m.lastImage != nil {
 		size = len(m.lastImage.Bytes)
 	}
-	return riscInfo(m.cpu, size)
+	info := machine.CoreInfo(m.cpu, m.cpu.Stats(), size)
+	return &info
 }
 
 // Profile returns the execution-heat table accumulated so far, hottest
 // first. Heat is counted by the trace-capable engines (auto, trace); the
 // block and step engines leave it empty.
-func (m *Machine) Profile() []BlockProfile { return heatProfile(m.cpu) }
+func (m *Machine) Profile() []BlockProfile { return machine.HeatProfile(m.cpu) }
 
 // HotNGrams returns the top measured dynamic opcode n-grams (n clamped to
 // 2 or 3).
-func (m *Machine) HotNGrams(n, top int) []NGramCount {
-	var out []NGramCount
-	for _, g := range m.cpu.HotNGrams(n, top) {
-		out = append(out, NGramCount{Ops: g.Ops, Count: g.Count})
-	}
-	return out
-}
+func (m *Machine) HotNGrams(n, top int) []NGramCount { return machine.HotNGrams(m.cpu, n, top) }
 
 // Interrupt queues an external interrupt. When interrupts are enabled the
 // processor redirects to vector at the next instruction boundary; the
@@ -764,13 +367,19 @@ func (m *Machine) Symbol(name string) (uint32, bool) {
 }
 
 // SetTrace installs (or clears, with nil) a per-instruction trace callback
-// receiving each executed instruction's address and disassembly.
+// receiving each executed instruction's address and disassembly, in
+// program order. It observes through the core's retirement hook, so the
+// machine keeps its compiled blocks but leaves the trace tier off.
 func (m *Machine) SetTrace(f func(pc uint32, disasm string)) {
 	if f == nil {
-		m.cpu.Trace = nil
+		m.cpu.Retire = nil
 		return
 	}
-	m.cpu.Trace = func(pc uint32, inst isa.Inst) { f(pc, inst.String()) }
+	m.cpu.Retire = func(r *core.Retired) {
+		for i := range r.Insts {
+			f(r.PC+uint32(4*i), r.Insts[i].String())
+		}
+	}
 }
 
 // Disassemble renders RISC I assembly for an assembled source, with
@@ -789,22 +398,11 @@ func Disassemble(source string) (string, error) {
 // share BuildAndRun's wide-addressing fallback, so any program that runs
 // also disassembles.
 func CompileAndDisassemble(source string, target Target) (string, error) {
-	if target == CISC {
-		res, err := cc.Compile(source, cc.Options{Target: target})
-		if err != nil {
-			return "", err
-		}
-		img, err := cisc.Assemble(res.Asm)
-		if err != nil {
-			return "", err
-		}
-		return cisc.Disassemble(img), nil
-	}
-	img, err := compileRISC(source, target)
+	img, err := CompileToImage(source, target)
 	if err != nil {
 		return "", err
 	}
-	return asm.Disassemble(img), nil
+	return img.Disassemble(), nil
 }
 
 // Diagnostic is one static-analysis finding; see package lint.
@@ -843,11 +441,12 @@ type LintOptions struct {
 // checks that translate to the CX machine. The result is sorted by
 // address; it is empty for a clean image.
 func LintImage(img *Image, opts LintOptions) []Diagnostic {
-	if img.target == CISC {
-		return lint.CheckCISC(img.cisc)
+	risc, cx := machine.Programs(img)
+	if cx != nil {
+		return lint.CheckCISC(cx)
 	}
-	return lint.Check(img.risc, lint.Options{
-		Flat: img.target == RISCFlat,
+	return lint.Check(risc, lint.Options{
+		Flat: img.Target() == RISCFlat,
 		SMP:  opts.SMP,
 	})
 }
